@@ -36,7 +36,7 @@ let pool () = Lazy.force pool
 (* Wall-clock + per-trial accounting, reported on stderr so stdout stays
    bit-comparable across MCX_JOBS settings.  The driver totals live in
    plain refs; per-phase aggregation across pool domains is Telemetry's
-   job now (merging Timing.Counter values across domains is deprecated). *)
+   job. *)
 let wall_seconds = ref 0.
 let wall_events = ref 0
 

@@ -2,10 +2,10 @@
 
     Ingests the three file formats the serving stack emits —
     [mcx-access/1] JSONL access logs ({!Access_log}), [mcx-metrics/1]
-    snapshots ({!Mcx_util.Metrics.Snapshot.to_json}) and [mcx-trace/1]
-    Chrome traces ({!Mcx_util.Telemetry}) — and renders per-stage
-    latency tables, cache-efficiency summaries and an A/B diff with a
-    configurable regression threshold (the CI gate).
+    snapshots ({!Mcx_util.Telemetry.Report.to_json}) and [mcx-trace/1]
+    Chrome traces ({!Mcx_util.Telemetry.Report.chrome_trace}) — and
+    renders per-stage latency tables, cache-efficiency summaries and an
+    A/B diff with a configurable regression threshold (the CI gate).
 
     Everything here is pure: loaders return values, renderers return
     {!Mcx_util.Texttable.t}; only the [memx] driver prints. *)
@@ -15,9 +15,10 @@ type stage_stat = {
   count : int;
   total_ns : int64;
   mean_ns : int64;
-  p50_ns : int64;  (** bucket-edge estimates via
-      {!Mcx_util.Telemetry.Report.percentile_of_buckets} *)
+  p50_ns : int64;
   p95_ns : int64;
+      (** exact percentiles of the stage's per-request durations
+          ({!Mcx_util.Stats.percentile}, rounded to the nearest ns) *)
   max_ns : int64;
 }
 

@@ -41,7 +41,22 @@ let field_opt name conv json =
     | Some x -> Ok (Some x)
     | None -> Error (Printf.sprintf "field %S has the wrong type" name))
 
-let coordinate_list name json =
+(* An object whose every key is one of [known]: a misspelled key is an
+   error, never a silently ignored field. [within] names the enclosing
+   field ("defects"); [""] is the request itself. *)
+let known_keys ?(within = "") known json =
+  let qualified k = if within = "" then k else within ^ "." ^ k in
+  match json with
+  | Json.Obj fields -> (
+    match List.find_opt (fun (k, _) -> not (List.mem k known)) fields with
+    | None -> Ok ()
+    | Some (k, _) ->
+      Error
+        (Printf.sprintf "field %S is unknown (known: %s)" (qualified k)
+           (String.concat ", " known)))
+  | _ -> Error (Printf.sprintf "field %S must be an object" within)
+
+let coordinate_list ~rows ~cols name json =
   let* pairs = field_opt name Json.to_list_opt json in
   match pairs with
   | None -> Ok []
@@ -52,36 +67,50 @@ let coordinate_list name json =
         match Json.to_list_opt item with
         | Some [ r; c ] -> (
           match (Json.to_int_opt r, Json.to_int_opt c) with
-          | Some r, Some c -> Ok ((r, c) :: acc)
+          | Some r, Some c when r >= 0 && r < rows && c >= 0 && c < cols ->
+            Ok ((r, c) :: acc)
+          | Some r, Some c ->
+            Error
+              (Printf.sprintf "field %S holds (%d,%d), outside the %dx%d crossbar" name r c
+                 rows cols)
           | _ -> Error (Printf.sprintf "field %S holds a non-integer coordinate" name))
         | Some _ | None ->
           Error (Printf.sprintf "field %S must hold [row,col] pairs" name))
       (Ok []) pairs
     |> Result.map List.rev
 
+let rate name json =
+  let* r = field_opt name Json.to_float_opt json in
+  match r with
+  | None -> Ok 0.
+  | Some r when r >= 0. && r <= 1. -> Ok r
+  | Some r ->
+    Error (Printf.sprintf "field %S is %s, outside [0, 1]" name (Json.float_repr r))
+
 let parse_defects json =
   match Json.member "defects" json with
   | None -> Ok Pristine
   | Some d -> (
+    let* () =
+      known_keys ~within:"defects"
+        [ "seed"; "open_rate"; "closed_rate"; "rows"; "cols"; "open"; "closed" ]
+        d
+    in
     let* seed = field_opt "seed" Json.to_int_opt d in
     match seed with
     | Some seed ->
-      let* open_rate = field_opt "open_rate" Json.to_float_opt d in
-      let* closed_rate = field_opt "closed_rate" Json.to_float_opt d in
-      Ok
-        (Seeded
-           {
-             seed;
-             open_rate = Option.value open_rate ~default:0.;
-             closed_rate = Option.value closed_rate ~default:0.;
-           })
+      let* open_rate = rate "open_rate" d in
+      let* closed_rate = rate "closed_rate" d in
+      if open_rate +. closed_rate > 1. then
+        Error "field \"closed_rate\": open_rate + closed_rate exceeds 1"
+      else Ok (Seeded { seed; open_rate; closed_rate })
     | None -> (
       let* rows = field_opt "rows" Json.to_int_opt d in
       let* cols = field_opt "cols" Json.to_int_opt d in
       match (rows, cols) with
       | Some rows, Some cols ->
-        let* stuck_open = coordinate_list "open" d in
-        let* stuck_closed = coordinate_list "closed" d in
+        let* stuck_open = coordinate_list ~rows ~cols "open" d in
+        let* stuck_closed = coordinate_list ~rows ~cols "closed" d in
         Ok (Explicit { rows; cols; stuck_open; stuck_closed })
       | _ -> Error "defects must carry either seed/open_rate or rows/cols/open/closed"))
 
@@ -89,6 +118,11 @@ let parse_config json =
   match Json.member "config" json with
   | None -> Ok default_config
   | Some c ->
+    let* () =
+      known_keys ~within:"config"
+        [ "algorithm"; "order"; "include_il_row"; "verify"; "deadline_ms" ]
+        c
+    in
     let* algorithm = field_opt "algorithm" Json.to_string_opt c in
     let* algorithm =
       match algorithm with
@@ -108,6 +142,12 @@ let parse_config json =
     let* include_il_row = field_opt "include_il_row" Json.to_bool_opt c in
     let* verify = field_opt "verify" Json.to_bool_opt c in
     let* deadline_ms = field_opt "deadline_ms" Json.to_int_opt c in
+    let* () =
+      match deadline_ms with
+      | Some ms when ms < 0 ->
+        Error (Printf.sprintf "field \"deadline_ms\" is %d, below 0" ms)
+      | Some _ | None -> Ok ()
+    in
     Ok
       {
         mapper =
@@ -132,6 +172,9 @@ let request_of_line ~index line =
         | Some s when s = request_schema -> Ok ()
         | Some s -> Error (Printf.sprintf "unsupported schema %S (want %s)" s request_schema)
         | None -> Error (Printf.sprintf "missing schema field (want %S)" request_schema)
+      in
+      let* () =
+        known_keys [ "schema"; "id"; "pla"; "benchmark"; "defects"; "config" ] json
       in
       let* id = field_opt "id" Json.to_string_opt json in
       let id = match id with Some id -> id | None -> Printf.sprintf "#%d" index in

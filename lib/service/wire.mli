@@ -71,7 +71,12 @@ val response_schema : string
 
 val request_of_line : index:int -> string -> (request, string) result
 (** Parse one JSONL line; [index] (0-based position in the stream) names
-    anonymous requests and is quoted in error messages. *)
+    anonymous requests and is quoted in error messages
+    (["request N: field ..."]). Rejected here, not deeper in resolve:
+    unknown keys at the top level and in [defects] and [config], a
+    negative [deadline_ms], [open_rate]/[closed_rate] outside [[0, 1]]
+    (or summing above 1), and explicit [open]/[closed] coordinates
+    outside the request's own [rows]x[cols]. *)
 
 val request_to_json : request -> Mcx_util.Json_out.t
 (** Re-emit a request (used to generate bundled request files and by the

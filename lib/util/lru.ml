@@ -101,19 +101,19 @@ let put t key value =
 
 let record_metrics t =
   let labels = [ ("cache", Option.value t.name ~default:"cache") ] in
-  Metrics.declare ~help:"live entries in the cache" Metrics.Gauge "mcx_cache_entries";
-  Metrics.declare ~help:"configured cache capacity" Metrics.Gauge "mcx_cache_capacity";
-  Metrics.declare ~help:"lookups that found a live entry" Metrics.Counter "mcx_cache_hits_total";
-  Metrics.declare ~help:"lookups that found nothing" Metrics.Counter "mcx_cache_misses_total";
-  Metrics.declare ~help:"puts that added a new key" Metrics.Counter "mcx_cache_insertions_total";
-  Metrics.declare ~help:"entries dropped to respect capacity" Metrics.Counter
+  Telemetry.declare ~help:"live entries in the cache" Telemetry.Gauge "mcx_cache_entries";
+  Telemetry.declare ~help:"configured cache capacity" Telemetry.Gauge "mcx_cache_capacity";
+  Telemetry.declare ~help:"lookups that found a live entry" Telemetry.Counter "mcx_cache_hits_total";
+  Telemetry.declare ~help:"lookups that found nothing" Telemetry.Counter "mcx_cache_misses_total";
+  Telemetry.declare ~help:"puts that added a new key" Telemetry.Counter "mcx_cache_insertions_total";
+  Telemetry.declare ~help:"entries dropped to respect capacity" Telemetry.Counter
     "mcx_cache_evictions_total";
-  Metrics.set ~labels "mcx_cache_entries" (float_of_int (length t));
-  Metrics.set ~labels "mcx_cache_capacity" (float_of_int t.capacity);
-  Metrics.inc ~labels ~n:t.hits "mcx_cache_hits_total";
-  Metrics.inc ~labels ~n:t.misses "mcx_cache_misses_total";
-  Metrics.inc ~labels ~n:t.insertions "mcx_cache_insertions_total";
-  Metrics.inc ~labels ~n:t.evictions "mcx_cache_evictions_total"
+  Telemetry.set ~labels "mcx_cache_entries" (float_of_int (length t));
+  Telemetry.set ~labels "mcx_cache_capacity" (float_of_int t.capacity);
+  Telemetry.inc ~labels ~n:t.hits "mcx_cache_hits_total";
+  Telemetry.inc ~labels ~n:t.misses "mcx_cache_misses_total";
+  Telemetry.inc ~labels ~n:t.insertions "mcx_cache_insertions_total";
+  Telemetry.inc ~labels ~n:t.evictions "mcx_cache_evictions_total"
 
 let to_list t =
   let rec walk acc = function

@@ -1,5 +1,5 @@
-(* Definition site for the hygiene-deprecated fixture: like the retired
-   Timing.Counter.merge, the deprecation lives on the [val]. *)
+(* Definition site for the hygiene-deprecated fixture: the deprecation
+   lives on the [val]. *)
 
 val old_merge : int -> int -> int
 [@@deprecated "merging moved to Telemetry"]

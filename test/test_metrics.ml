@@ -1,31 +1,34 @@
-(* Metrics registry tests: name/label validation, kind discipline,
-   series identity under label reordering, gauge last-write-wins,
-   histogram geometry, the keyed commutative merge (bit-identical
-   exporter output at any job count), both exporters (a hand-rolled
-   OpenMetrics line-grammar validator and the mcx-metrics/1 JSON
-   shape), the deterministic [~times:false] projection, the subsystem
-   bridges, and the shared bucket-percentile estimator. *)
+(* Labeled metric families of the Telemetry store: name/label
+   validation, kind discipline, series identity under label reordering,
+   gauge last-write-wins, histogram geometry, the keyed commutative
+   merge (bit-identical exporter output at any job count), both
+   exporters (a hand-rolled OpenMetrics line-grammar validator and the
+   mcx-metrics/1 JSON shape), the deterministic [~times:false]
+   projection, spans and counters appearing in the exports beside the
+   labeled families, and the summary's bucket percentile estimator. *)
 
 open Mcx_util
 
-(* Every test starts from a clean, enabled registry. The whole binary is
+(* Every test starts from a clean, enabled store. The whole binary is
    single-threaded between Pool fan-outs, so reset is safe here. *)
 let fresh () =
-  Metrics.reset ();
-  Metrics.enable ()
+  Telemetry.reset ();
+  Telemetry.enable ()
 
-let find_family name (snap : Metrics.Snapshot.t) =
-  List.find_opt (fun (f : Metrics.Snapshot.family) -> f.name = name) snap
+let find_family name snap =
+  List.find_opt
+    (fun (f : Telemetry.Report.family) -> f.name = name)
+    (Telemetry.Report.families snap)
 
 let get_family name snap =
   match find_family name snap with
   | Some f -> f
   | None -> Alcotest.failf "family %s missing from snapshot" name
 
-let series_value (f : Metrics.Snapshot.family) labels =
+let series_value (f : Telemetry.Report.family) labels =
   let sorted = List.sort (fun (a, _) (b, _) -> String.compare a b) labels in
   match
-    List.find_opt (fun (s : Metrics.Snapshot.series) -> s.labels = sorted) f.series
+    List.find_opt (fun (s : Telemetry.Report.series) -> s.labels = sorted) f.series
   with
   | Some s -> s.value
   | None ->
@@ -34,7 +37,7 @@ let series_value (f : Metrics.Snapshot.family) labels =
 
 let counter_value f labels =
   match series_value f labels with
-  | Metrics.Snapshot.Counter n -> n
+  | Telemetry.Report.Counter n -> n
   | _ -> Alcotest.fail "expected a counter series"
 
 (* --- validation ------------------------------------------------------- *)
@@ -42,7 +45,7 @@ let counter_value f labels =
 let test_name_validation () =
   List.iter
     (fun (name, ok) ->
-      Alcotest.(check bool) ("metric name " ^ name) ok (Metrics.valid_metric_name name))
+      Alcotest.(check bool) ("metric name " ^ name) ok (Telemetry.valid_metric_name name))
     [
       ("mcx_serve_requests_total", true);
       ("a:b:c", true);
@@ -54,7 +57,7 @@ let test_name_validation () =
     ];
   List.iter
     (fun (name, ok) ->
-      Alcotest.(check bool) ("label name " ^ name) ok (Metrics.valid_label_name name))
+      Alcotest.(check bool) ("label name " ^ name) ok (Telemetry.valid_label_name name))
     [
       ("status", true);
       ("_ok", true);
@@ -71,81 +74,73 @@ let expect_invalid_arg what f =
 let test_declare_rejects () =
   fresh ();
   expect_invalid_arg "bad metric name" (fun () ->
-      Metrics.declare Metrics.Counter "not a name");
-  Metrics.declare Metrics.Counter "mcx_test_total";
+      Telemetry.declare Telemetry.Counter "not a name");
+  Telemetry.declare Telemetry.Counter "mcx_test_total";
   expect_invalid_arg "kind flip on redeclare" (fun () ->
-      Metrics.declare Metrics.Gauge "mcx_test_total");
+      Telemetry.declare Telemetry.Gauge "mcx_test_total");
   (* auto-declaration pins the kind too *)
-  Metrics.inc "mcx_test_auto";
+  Telemetry.inc "mcx_test_auto";
   expect_invalid_arg "kind mismatch after auto-declare" (fun () ->
-      Metrics.set "mcx_test_auto" 1.0)
+      Telemetry.set "mcx_test_auto" 1.0);
+  (* the span/counter families are recorded by span/count only *)
+  expect_invalid_arg "reserved span family" (fun () ->
+      Telemetry.observe ~labels:[ ("span", "x") ] "mcx_telemetry_span_ns" 1L);
+  expect_invalid_arg "reserved counter family" (fun () ->
+      Telemetry.declare Telemetry.Counter "mcx_telemetry_counter")
 
 let test_recording_rejects () =
   fresh ();
   expect_invalid_arg "bad label name" (fun () ->
-      Metrics.inc ~labels:[ ("le", "1") ] "mcx_test_total");
+      Telemetry.inc ~labels:[ ("le", "1") ] "mcx_test_total");
   expect_invalid_arg "duplicate label" (fun () ->
-      Metrics.inc ~labels:[ ("a", "1"); ("a", "2") ] "mcx_test_total");
-  Metrics.declare Metrics.Histogram "mcx_test_ns";
-  expect_invalid_arg "inc into a histogram" (fun () -> Metrics.inc "mcx_test_ns")
+      Telemetry.inc ~labels:[ ("a", "1"); ("a", "2") ] "mcx_test_total");
+  Telemetry.declare Telemetry.Histogram "mcx_test_ns";
+  expect_invalid_arg "inc into a histogram" (fun () -> Telemetry.inc "mcx_test_ns")
 
 (* --- recording semantics ---------------------------------------------- *)
 
 let test_label_order_is_identity () =
   fresh ();
-  Metrics.inc ~labels:[ ("a", "1"); ("b", "2") ] "mcx_test_total";
-  Metrics.inc ~labels:[ ("b", "2"); ("a", "1") ] ~n:2 "mcx_test_total";
-  let f = get_family "mcx_test_total" (Metrics.snapshot ()) in
+  Telemetry.inc ~labels:[ ("a", "1"); ("b", "2") ] "mcx_test_total";
+  Telemetry.inc ~labels:[ ("b", "2"); ("a", "1") ] ~n:2 "mcx_test_total";
+  let f = get_family "mcx_test_total" (Telemetry.snapshot ()) in
   Alcotest.(check int) "one series" 1 (List.length f.series);
   Alcotest.(check int) "merged count" 3
     (counter_value f [ ("a", "1"); ("b", "2") ])
 
 let test_gauge_last_write_wins () =
   fresh ();
-  Metrics.set "mcx_test_gauge" 1.5;
-  Metrics.set "mcx_test_gauge" 4.25;
-  let f = get_family "mcx_test_gauge" (Metrics.snapshot ()) in
+  Telemetry.set "mcx_test_gauge" 1.5;
+  Telemetry.set "mcx_test_gauge" 4.25;
+  let f = get_family "mcx_test_gauge" (Telemetry.snapshot ()) in
   (match series_value f [] with
-  | Metrics.Snapshot.Gauge v -> Alcotest.(check (float 0.)) "last value" 4.25 v
+  | Telemetry.Report.Gauge v -> Alcotest.(check (float 0.)) "last value" 4.25 v
   | _ -> Alcotest.fail "expected a gauge")
 
 let test_histogram_geometry () =
   fresh ();
   (* 1ns -> bucket 0; 1000ns -> bucket 9 ([512,1024)); negative clamps. *)
-  Metrics.observe_ns "mcx_test_ns" 1L;
-  Metrics.observe_ns "mcx_test_ns" 1000L;
-  Metrics.observe_ns "mcx_test_ns" (-5L);
-  let f = get_family "mcx_test_ns" (Metrics.snapshot ()) in
+  Telemetry.observe "mcx_test_ns" 1L;
+  Telemetry.observe "mcx_test_ns" 1000L;
+  Telemetry.observe "mcx_test_ns" (-5L);
+  let f = get_family "mcx_test_ns" (Telemetry.snapshot ()) in
   match series_value f [] with
-  | Metrics.Snapshot.Histogram { count; sum_ns; buckets } ->
+  | Telemetry.Report.Histogram { calls = count; total_ns = sum_ns; buckets; _ } ->
     Alcotest.(check int) "count" 3 count;
     Alcotest.(check int64) "sum clamps negatives" 1001L sum_ns;
     Alcotest.(check int) "bucket 0" 2 buckets.(0);
     Alcotest.(check int) "bucket of 1000ns" 1 buckets.(Telemetry.bucket_of_ns 1000L)
   | _ -> Alcotest.fail "expected a histogram"
 
-let test_merge_histogram () =
-  fresh ();
-  Metrics.merge_histogram "mcx_test_ns" ~count:4 ~sum_ns:400L ~buckets:[| 1; 3 |];
-  Metrics.observe_ns "mcx_test_ns" 1L;
-  let f = get_family "mcx_test_ns" (Metrics.snapshot ()) in
-  (match series_value f [] with
-  | Metrics.Snapshot.Histogram { count; sum_ns; buckets } ->
-    Alcotest.(check int) "count folds" 5 count;
-    Alcotest.(check int64) "sum folds" 401L sum_ns;
-    Alcotest.(check int) "short buckets pad" 2 buckets.(0);
-    Alcotest.(check int) "bucket 1" 3 buckets.(1)
-  | _ -> Alcotest.fail "expected a histogram");
-  expect_invalid_arg "oversized buckets rejected" (fun () ->
-      Metrics.merge_histogram "mcx_test_ns" ~count:1 ~sum_ns:0L
-        ~buckets:(Array.make (Telemetry.n_buckets + 1) 0))
-
 let test_disabled_is_inert () =
-  Metrics.reset ();
-  Metrics.disable ();
-  Metrics.inc "mcx_test_total";
-  Metrics.observe_ns "mcx_test_ns" 5L;
-  Alcotest.(check int) "nothing recorded" 0 (List.length (Metrics.snapshot ()))
+  Telemetry.reset ();
+  Telemetry.disable ();
+  Telemetry.inc "mcx_test_total";
+  Telemetry.set "mcx_test_gauge" 1.0;
+  Telemetry.observe "mcx_test_ns" 5L;
+  Telemetry.count "t.off";
+  Alcotest.(check int) "nothing recorded" 0
+    (List.length (Telemetry.Report.families (Telemetry.snapshot ())))
 
 (* --- determinism across job counts ------------------------------------ *)
 
@@ -154,32 +149,32 @@ let test_disabled_is_inert () =
    byte-identical whatever the domain count. *)
 let record_from_pool ~jobs =
   fresh ();
-  Metrics.declare ~help:"test rows" Metrics.Counter "mcx_test_rows_total";
-  Metrics.declare Metrics.Histogram "mcx_test_trial_ns";
+  Telemetry.declare ~help:"test rows" Telemetry.Counter "mcx_test_rows_total";
+  Telemetry.declare Telemetry.Histogram "mcx_test_trial_ns";
   let pool = Pool.create ~jobs () in
   let _ =
     Pool.map pool 40 (fun i ->
         let bucket = if i mod 3 = 0 then "small" else "large" in
-        Metrics.inc ~labels:[ ("size", bucket) ] "mcx_test_rows_total";
-        Metrics.observe_ns "mcx_test_trial_ns" (Int64.of_int ((i * 37) mod 5000));
+        Telemetry.inc ~labels:[ ("size", bucket) ] "mcx_test_rows_total";
+        Telemetry.observe "mcx_test_trial_ns" (Int64.of_int ((i * 37) mod 5000));
         i)
   in
-  Metrics.snapshot ()
+  Telemetry.snapshot ()
 
 let test_jobs_identical_projection () =
   let s1 = record_from_pool ~jobs:1 in
   let s4 = record_from_pool ~jobs:4 in
   Alcotest.(check string) "OpenMetrics bytes agree"
-    (Metrics.Snapshot.to_openmetrics ~times:false s1)
-    (Metrics.Snapshot.to_openmetrics ~times:false s4);
+    (Telemetry.Report.to_openmetrics ~times:false s1)
+    (Telemetry.Report.to_openmetrics ~times:false s4);
   Alcotest.(check string) "mcx-metrics/1 bytes agree"
-    (Json_out.to_string (Metrics.Snapshot.to_json ~times:false s1))
-    (Json_out.to_string (Metrics.Snapshot.to_json ~times:false s4));
+    (Json_out.to_string (Telemetry.Report.to_json ~times:false s1))
+    (Json_out.to_string (Telemetry.Report.to_json ~times:false s4));
   (* The full (timed) export also agrees here because the observed
      durations are a function of the index alone. *)
   Alcotest.(check string) "timed bytes agree too"
-    (Metrics.Snapshot.to_openmetrics s1)
-    (Metrics.Snapshot.to_openmetrics s4)
+    (Telemetry.Report.to_openmetrics s1)
+    (Telemetry.Report.to_openmetrics s4)
 
 (* --- OpenMetrics text grammar ----------------------------------------- *)
 
@@ -265,15 +260,15 @@ let check_openmetrics text =
 
 let populated_snapshot () =
   fresh ();
-  Metrics.declare ~help:"requests by status" Metrics.Counter "mcx_test_requests_total";
-  Metrics.declare ~help:"stage latency" Metrics.Histogram "mcx_test_stage_ns";
-  Metrics.declare ~measured:true Metrics.Gauge "mcx_test_jobs";
-  Metrics.inc ~labels:[ ("status", "ok") ] ~n:3 "mcx_test_requests_total";
-  Metrics.inc ~labels:[ ("status", "error") ] "mcx_test_requests_total";
-  Metrics.set "mcx_test_jobs" 4.0;
-  Metrics.observe_ns ~labels:[ ("stage", "parse") ] "mcx_test_stage_ns" 900L;
-  Metrics.observe_ns ~labels:[ ("stage", "parse") ] "mcx_test_stage_ns" 64_000L;
-  Metrics.snapshot ()
+  Telemetry.declare ~help:"requests by status" Telemetry.Counter "mcx_test_requests_total";
+  Telemetry.declare ~help:"stage latency" Telemetry.Histogram "mcx_test_stage_ns";
+  Telemetry.declare ~measured:true Telemetry.Gauge "mcx_test_jobs";
+  Telemetry.inc ~labels:[ ("status", "ok") ] ~n:3 "mcx_test_requests_total";
+  Telemetry.inc ~labels:[ ("status", "error") ] "mcx_test_requests_total";
+  Telemetry.set "mcx_test_jobs" 4.0;
+  Telemetry.observe ~labels:[ ("stage", "parse") ] "mcx_test_stage_ns" 900L;
+  Telemetry.observe ~labels:[ ("stage", "parse") ] "mcx_test_stage_ns" 64_000L;
+  Telemetry.snapshot ()
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -282,9 +277,9 @@ let contains hay needle =
 
 let test_openmetrics_grammar () =
   let snap = populated_snapshot () in
-  let timed = Metrics.Snapshot.to_openmetrics snap in
+  let timed = Telemetry.Report.to_openmetrics snap in
   check_openmetrics timed;
-  check_openmetrics (Metrics.Snapshot.to_openmetrics ~times:false snap);
+  check_openmetrics (Telemetry.Report.to_openmetrics ~times:false snap);
   Alcotest.(check bool) "help line" true
     (contains timed "# HELP mcx_test_requests_total requests by status");
   Alcotest.(check bool) "series sample" true
@@ -295,21 +290,21 @@ let test_openmetrics_grammar () =
 
 let test_projection_drops_measurements () =
   let snap = populated_snapshot () in
-  let det = Metrics.Snapshot.to_openmetrics ~times:false snap in
+  let det = Telemetry.Report.to_openmetrics ~times:false snap in
   Alcotest.(check bool) "measured gauge dropped" false (contains det "mcx_test_jobs");
   Alcotest.(check bool) "no buckets" false (contains det "_bucket");
   Alcotest.(check bool) "no sum" false (contains det "mcx_test_stage_ns_sum");
   Alcotest.(check bool) "count survives" true
     (contains det "mcx_test_stage_ns_count{stage=\"parse\"} 2");
   Alcotest.(check bool) "timed export keeps the gauge" true
-    (contains (Metrics.Snapshot.to_openmetrics snap) "mcx_test_jobs 4")
+    (contains (Telemetry.Report.to_openmetrics snap) "mcx_test_jobs 4")
 
 (* --- mcx-metrics/1 JSON shape ----------------------------------------- *)
 
 let test_json_shape () =
   let snap = populated_snapshot () in
   let reparse times =
-    match Json_out.of_string (Json_out.to_string (Metrics.Snapshot.to_json ~times snap)) with
+    match Json_out.of_string (Json_out.to_string (Telemetry.Report.to_json ~times snap)) with
     | Ok json -> json
     | Error e -> Alcotest.failf "exporter emitted unparseable JSON: %s" e
   in
@@ -375,55 +370,94 @@ let test_lru_bridge () =
   ignore (Lru.find cache "zzz");
   Lru.put cache "c" 3 (* evicts b *);
   Lru.record_metrics cache;
-  let snap = Metrics.snapshot () in
+  let snap = Telemetry.snapshot () in
   let count name = counter_value (get_family name snap) [ ("cache", "serve.cache") ] in
   Alcotest.(check int) "hits" 1 (count "mcx_cache_hits_total");
   Alcotest.(check int) "misses" 1 (count "mcx_cache_misses_total");
   Alcotest.(check int) "evictions" 1 (count "mcx_cache_evictions_total")
 
-let test_telemetry_bridge () =
+(* Spans and unlabeled counters are series of the same store, so both
+   exporters show them beside the labeled families with no copy step. *)
+let test_spans_and_counters_exported () =
   fresh ();
-  Telemetry.reset ();
-  Telemetry.enable ();
   Telemetry.count ~n:5 "trials";
   Telemetry.observe_ns "map.trial" 1234L;
   Telemetry.observe_ns "map.trial" 99L;
-  Metrics.bridge_telemetry (Telemetry.snapshot ());
-  Telemetry.disable ();
-  Telemetry.reset ();
-  let snap = Metrics.snapshot () in
-  Alcotest.(check int) "counter bridged" 5
+  Telemetry.inc "mcx_test_total";
+  let snap = Telemetry.snapshot () in
+  Alcotest.(check int) "counter exported" 5
     (counter_value (get_family "mcx_telemetry_counter" snap) [ ("name", "trials") ]);
-  match series_value (get_family "mcx_telemetry_span_ns" snap) [ ("span", "map.trial") ] with
-  | Metrics.Snapshot.Histogram { count; sum_ns; _ } ->
-    Alcotest.(check int) "span calls bridged" 2 count;
-    Alcotest.(check int64) "span total bridged" 1333L sum_ns
-  | _ -> Alcotest.fail "expected a histogram series"
+  (match series_value (get_family "mcx_telemetry_span_ns" snap) [ ("span", "map.trial") ] with
+  | Telemetry.Report.Histogram { calls; total_ns; _ } ->
+    Alcotest.(check int) "span calls exported" 2 calls;
+    Alcotest.(check int64) "span total exported" 1333L total_ns
+  | _ -> Alcotest.fail "expected a histogram series");
+  let text = Telemetry.Report.to_openmetrics snap in
+  check_openmetrics text;
+  List.iter
+    (fun line -> Alcotest.(check bool) line true (contains text line))
+    [
+      "# HELP mcx_telemetry_counter telemetry counter totals (see MCX_TRACE)\n";
+      "mcx_telemetry_counter{name=\"trials\"} 5\n";
+      "mcx_telemetry_span_ns_sum{span=\"map.trial\"} 1333\n";
+      "mcx_telemetry_span_ns_count{span=\"map.trial\"} 2\n";
+      "mcx_test_total 1\n";
+    ];
+  let json = Json_out.to_string (Telemetry.Report.to_json snap) in
+  Alcotest.(check bool) "json counter family" true
+    (contains json
+       {|{"name":"mcx_telemetry_counter","type":"counter","help":"telemetry counter totals (see MCX_TRACE)","series":[{"labels":{"name":"trials"},"value":5}]}|});
+  Alcotest.(check bool) "json span family" true
+    (contains json {|"series":[{"labels":{"span":"map.trial"},"count":2,"sum_ns":1333|})
 
-(* --- the shared percentile estimator ----------------------------------- *)
+(* --- the summary's percentile estimator --------------------------------- *)
+
+let summary_percentiles snap name =
+  Texttable.render (Telemetry.Report.summary_table snap)
+  |> String.split_on_char '\n'
+  |> List.find_map (fun line ->
+         match List.map String.trim (String.split_on_char '|' line) with
+         | [ ""; n; _calls; _total; _mean; p50; p99; max; "" ] when n = name ->
+           Some (p50, p99, max)
+         | _ -> None)
+  |> function
+  | Some cells -> cells
+  | None -> Alcotest.failf "no summary row for %s" name
 
 let test_percentile_estimator () =
-  let buckets = Array.make Telemetry.n_buckets 0 in
-  (* 90 observations in [512,1024), 10 in [65536,131072) *)
-  buckets.(Telemetry.bucket_of_ns 1000L) <- 90;
-  buckets.(Telemetry.bucket_of_ns 100_000L) <- 10;
-  let p50 = Telemetry.Report.percentile_of_buckets buckets ~calls:100 ~p:0.50 in
-  let p95 = Telemetry.Report.percentile_of_buckets buckets ~calls:100 ~p:0.95 in
-  Alcotest.(check int64) "p50 at the small bucket's edge" 1023L p50;
-  Alcotest.(check int64) "p95 at the large bucket's edge" 131071L p95;
-  Alcotest.(check int64) "empty histogram" 0L
-    (Telemetry.Report.percentile_of_buckets (Array.make Telemetry.n_buckets 0) ~calls:0 ~p:0.5);
-  (* percentile_ns is the same estimator over a span aggregate *)
-  let stat =
-    { Telemetry.Report.name = "s"; calls = 100; total_ns = 0L; max_ns = 0L; buckets }
+  (* 90 observations in [512,1024), 9 in [65536,131072), 1 at 1 ms: the
+     percentiles read the last value of the bucket holding the quantile,
+     and the 1 ms max keeps the p99 bucket edge (131071) unclamped *)
+  let samples =
+    List.init 90 (fun _ -> 1000L) @ List.init 9 (fun _ -> 100_000L) @ [ 1_000_000L ]
   in
-  Alcotest.(check int64) "span wrapper agrees" p95
-    (Telemetry.Report.percentile_ns stat ~p:0.95)
+  fresh ();
+  List.iter (Telemetry.observe_ns "p.split") samples;
+  let whole = Telemetry.snapshot () in
+  (match Telemetry.Report.spans whole with
+  | [ s ] ->
+    Alcotest.(check int) "small bucket" 90 s.buckets.(Telemetry.bucket_of_ns 1000L);
+    Alcotest.(check int) "large bucket" 9 s.buckets.(Telemetry.bucket_of_ns 100_000L)
+  | _ -> Alcotest.fail "expected one span");
+  Alcotest.(check (triple string string string)) "p50/p99/max at the bucket edges"
+    ("1.0us", "131.1us", "1.0ms")
+    (summary_percentiles whole "p.split");
+  (* the estimator reads merged buckets: two halves give the same row *)
+  let first, second = List.partition (fun ns -> ns < 100_000L) samples in
+  let half xs =
+    fresh ();
+    List.iter (Telemetry.observe_ns "p.split") xs;
+    Telemetry.snapshot ()
+  in
+  let a = half first and b = half second in
+  Alcotest.(check (triple string string string)) "merged halves agree"
+    (summary_percentiles whole "p.split")
+    (summary_percentiles (Telemetry.Report.merge a b) "p.split")
 
 let () =
   let cleanup () =
-    Metrics.reset ();
-    Metrics.disable ()
+    Telemetry.reset ();
+    Telemetry.disable ()
   in
   Fun.protect ~finally:cleanup (fun () ->
       Alcotest.run "metrics"
@@ -440,7 +474,6 @@ let () =
                 test_label_order_is_identity;
               Alcotest.test_case "gauge last write wins" `Quick test_gauge_last_write_wins;
               Alcotest.test_case "histogram geometry" `Quick test_histogram_geometry;
-              Alcotest.test_case "merge_histogram" `Quick test_merge_histogram;
               Alcotest.test_case "disabled is inert" `Quick test_disabled_is_inert;
             ] );
           ( "determinism",
@@ -458,7 +491,8 @@ let () =
           ( "bridges",
             [
               Alcotest.test_case "lru cache" `Quick test_lru_bridge;
-              Alcotest.test_case "telemetry report" `Quick test_telemetry_bridge;
+              Alcotest.test_case "spans/counters in both exports" `Quick
+                test_spans_and_counters_exported;
             ] );
           ( "percentiles",
             [ Alcotest.test_case "bucket estimator" `Quick test_percentile_estimator ] );

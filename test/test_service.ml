@@ -96,7 +96,33 @@ let test_wire_rejects () =
   expect_parse_error {|{"schema":"mcx-request/1","id":"q"}|} "pla";
   expect_parse_error
     {|{"schema":"mcx-request/1","pla":"x","defects":{"rows":1}}|}
-    "defects"
+    "defects";
+  (* bad values are located at the wire boundary, not leaked from resolve *)
+  expect_parse_error
+    {|{"schema":"mcx-request/1","pla":"x","config":{"deadline_ms":-1}}|}
+    {|field "deadline_ms"|};
+  expect_parse_error
+    {|{"schema":"mcx-request/1","pla":"x","defects":{"seed":1,"open_rate":1.5}}|}
+    {|field "open_rate"|};
+  expect_parse_error
+    {|{"schema":"mcx-request/1","pla":"x","defects":{"seed":1,"closed_rate":-0.1}}|}
+    {|field "closed_rate"|};
+  expect_parse_error
+    {|{"schema":"mcx-request/1","pla":"x","defects":{"rows":2,"cols":6,"open":[[9,9]]}}|}
+    {|field "open" holds (9,9), outside the 2x6 crossbar|};
+  expect_parse_error
+    {|{"schema":"mcx-request/1","pla":"x","defects":{"rows":2,"cols":6,"closed":[[0,-1]]}}|}
+    {|field "closed"|};
+  (* unknown keys: a misspelled "defects" must not map onto a pristine
+     crossbar *)
+  expect_parse_error {|{"schema":"mcx-request/1","pla":"x","defect":{"seed":1}}|}
+    {|field "defect" is unknown|};
+  expect_parse_error
+    {|{"schema":"mcx-request/1","pla":"x","defects":{"sed":1,"rows":1,"cols":1}}|}
+    {|field "defects.sed" is unknown|};
+  expect_parse_error
+    {|{"schema":"mcx-request/1","pla":"x","config":{"algoritm":"exact"}}|}
+    {|field "config.algoritm" is unknown|}
 
 let test_response_field_order () =
   let r =
@@ -454,6 +480,33 @@ let test_report_summarize () =
   Alcotest.(check int64) "stage total" 100_000_000L compute.Report.total_ns;
   Alcotest.(check int64) "stage mean" 10_000_000L compute.Report.mean_ns
 
+let test_report_exact_percentiles () =
+  (* compute durations 1..100 us: the percentiles interpolate between
+     the sorted samples, never a power-of-two bucket edge *)
+  let records =
+    List.init 100 (fun i ->
+        timed_record ~index:i
+          ~compute_ns:(Int64.of_int ((100 - i) * 1_000))
+          ~render_ns:500L)
+  in
+  let s = Report.summarize ~source:"exact" records ~has_times:true in
+  let compute =
+    List.find (fun (st : Report.stage_stat) -> st.Report.stage = "compute") s.Report.stages
+  in
+  Alcotest.(check int64) "p50" 50_500L compute.Report.p50_ns;
+  Alcotest.(check int64) "p95" 95_050L compute.Report.p95_ns;
+  Alcotest.(check int64) "max" 100_000L compute.Report.max_ns;
+  let render =
+    List.find (fun (st : Report.stage_stat) -> st.Report.stage = "render") s.Report.stages
+  in
+  Alcotest.(check (pair int64 int64)) "constant stage" (500L, 500L)
+    (render.Report.p50_ns, render.Report.p95_ns);
+  let empty = Report.summarize ~source:"none" [] ~has_times:true in
+  Alcotest.(check bool) "no records, zero percentiles" true
+    (List.for_all
+       (fun (st : Report.stage_stat) -> st.Report.p50_ns = 0L && st.Report.p95_ns = 0L)
+       empty.Report.stages)
+
 let test_report_diff () =
   let old_timed = timed_summary ~source:"old" ~compute_ns:10_000_000L ~render_ns:500L in
   Alcotest.(check int) "identical runs produce no findings" 0
@@ -569,5 +622,6 @@ let () =
             Alcotest.test_case "summarize" `Quick test_report_summarize;
             Alcotest.test_case "diff" `Quick test_report_diff;
             Alcotest.test_case "load access log" `Quick test_report_load_access;
+            Alcotest.test_case "exact stage percentiles" `Quick test_report_exact_percentiles;
           ] );
       ]

@@ -156,32 +156,91 @@ let test_bucket_boundaries () =
   Alcotest.check_raises "negative bucket" (Invalid_argument "Telemetry.bucket_bounds")
     (fun () -> ignore (Telemetry.bucket_bounds (-1)))
 
-let stat_with_buckets pairs =
-  let buckets = Array.make Telemetry.n_buckets 0 in
-  List.iter (fun (i, n) -> buckets.(i) <- n) pairs;
-  let calls = List.fold_left (fun acc (_, n) -> acc + n) 0 pairs in
-  { Telemetry.Report.name = "t"; calls; total_ns = 0L; max_ns = 0L; buckets }
+(* The summary's timed columns, parsed back to nanoseconds: row name ->
+   (p50, p99, max). Percentiles are private to the summary, so the
+   tests read them where users do. *)
+let ns_of_cell cell =
+  let num suffix scale =
+    let n = String.length cell - String.length suffix in
+    float_of_string (String.sub cell 0 n) *. scale
+  in
+  let ends_with suffix = String.ends_with ~suffix cell in
+  if ends_with "ns" then num "ns" 1.
+  else if ends_with "us" then num "us" 1e3
+  else if ends_with "ms" then num "ms" 1e6
+  else num "s" 1e9
+
+let summary_rows report =
+  Texttable.render (Telemetry.Report.summary_table report)
+  |> String.split_on_char '\n'
+  |> List.filter_map (fun line ->
+         match List.map String.trim (String.split_on_char '|' line) with
+         | [ ""; name; _calls; _total; _mean; p50; p99; max; "" ]
+           when name <> "phase" && p50 <> "-" ->
+           Some (name, (p50, p99, max))
+         | _ -> None)
+
+let summary_row report name =
+  match List.assoc_opt name (summary_rows report) with
+  | Some cells -> cells
+  | None -> Alcotest.failf "no summary row for %s" name
+
+let observed name samples =
+  fresh ();
+  Telemetry.enable ();
+  List.iter (Telemetry.observe_ns name) samples;
+  let report = Telemetry.snapshot () in
+  Telemetry.disable ();
+  report
 
 let test_percentiles () =
-  (* 100 calls in [8,16) plus one outlier in [512,1024) *)
-  let stat = stat_with_buckets [ (3, 100); (9, 1) ] in
-  Alcotest.(check int64) "p50 upper edge of bucket 3" 15L
-    (Telemetry.Report.percentile_ns stat ~p:0.50);
-  Alcotest.(check int64) "p99 still bucket 3" 15L
-    (Telemetry.Report.percentile_ns stat ~p:0.99);
-  Alcotest.(check int64) "p100 reaches the outlier" 1023L
-    (Telemetry.Report.percentile_ns stat ~p:1.0);
-  let empty = stat_with_buckets [] in
-  Alcotest.(check int64) "no calls" 0L (Telemetry.Report.percentile_ns empty ~p:0.5);
-  Alcotest.check_raises "p out of range"
-    (Invalid_argument "Telemetry.Report.percentile_of_buckets") (fun () ->
-      ignore (Telemetry.Report.percentile_ns stat ~p:0.))
+  (* 100 calls in [8,16) plus one outlier in [512,1024): both
+     percentiles read bucket 3's last value *)
+  let report = observed "t.p" (List.init 100 (fun _ -> 10L) @ [ 1000L ]) in
+  Alcotest.(check (triple string string string)) "p50/p99/max" ("15ns", "15ns", "1.0us")
+    (summary_row report "t.p");
+  (* 90 calls in [512,1024), 10 in [65536,131072): p99 lands in the
+     upper bucket, whose edge (131071) is clamped to the max *)
+  let report =
+    observed "t.q" (List.init 90 (fun _ -> 1000L) @ List.init 10 (fun _ -> 100_000L))
+  in
+  Alcotest.(check (triple string string string)) "clamped p99" ("1.0us", "100.0us", "100.0us")
+    (summary_row report "t.q")
+
+let test_single_observation_percentiles () =
+  (* 10.26 s sits in [2^33, 2^34) ns, whose last value is 17.18 s *)
+  let p50, p99, max = summary_row (observed "t.long" [ 10_260_000_000L ]) "t.long" in
+  Alcotest.(check string) "max" "10.26s" max;
+  Alcotest.(check string) "p50 = max" max p50;
+  Alcotest.(check string) "p99 = max" max p99
+
+let test_no_percentile_above_max () =
+  fresh ();
+  Telemetry.enable ();
+  let prng = Prng.create 2018 in
+  for k = 0 to 39 do
+    let name = Printf.sprintf "t.s%02d" k in
+    for _ = 0 to Prng.int prng 50 do
+      (* log-uniform over [1 ns, 2^40 ns) *)
+      let bits = 1 + Prng.int prng 40 in
+      Telemetry.observe_ns name (Int64.of_int (1 + Prng.int prng (1 lsl bits)))
+    done
+  done;
+  let rows = summary_rows (Telemetry.snapshot ()) in
+  Telemetry.disable ();
+  Alcotest.(check int) "every span has a row" 40 (List.length rows);
+  List.iter
+    (fun (name, (p50, p99, max)) ->
+      let max = ns_of_cell max in
+      Alcotest.(check bool) (name ^ " p50 <= max") true (ns_of_cell p50 <= max);
+      Alcotest.(check bool) (name ^ " p99 <= max") true (ns_of_cell p99 <= max))
+    rows
 
 (* --- spans and counters --------------------------------------------- *)
 
 let find_span report name =
   List.find_opt
-    (fun s -> String.equal s.Telemetry.Report.name name)
+    (fun (s : Telemetry.Report.span_stat) -> String.equal s.name name)
     (Telemetry.Report.spans report)
 
 let test_span_nesting () =
@@ -369,6 +428,9 @@ let () =
         [
           Alcotest.test_case "bucket boundaries" `Quick test_bucket_boundaries;
           Alcotest.test_case "percentiles" `Quick test_percentiles;
+          Alcotest.test_case "single sample p50 = p99 = max" `Quick
+            test_single_observation_percentiles;
+          Alcotest.test_case "no p50/p99 above max" `Quick test_no_percentile_above_max;
         ] );
       ( "spans",
         [
