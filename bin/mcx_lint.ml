@@ -7,8 +7,8 @@
 
 let usage =
   "mcx-lint [--list-rules] [--explain RULE] [--only RULE[,RULE...]]\n\
-  \        [--format text|json|sarif] [--out FILE] [--root DIR] [--no-typed]\n\
-  \        [--allow-file FILE|none] [--cache] [--check-allows]\n\n\
+  \        [--format text|json|sarif] [--out FILE] [--root DIR]\n\
+  \        [--allow-file FILE|none] [--check-allows]\n\n\
    Lints lib/ bin/ bench/ test/ under the repo root (nearest dune-project).\n\
    Typed and interprocedural rules need .cmt files: run `dune build @all` first.\n"
 
@@ -30,9 +30,7 @@ let () =
   let format = ref "text" in
   let out = ref "" in
   let root = ref "" in
-  let typed = ref true in
   let allow_file = ref "lint.allow" in
-  let use_cache = ref false in
   let check_allows = ref false in
   let spec =
     [
@@ -49,13 +47,9 @@ let () =
         " report format (default text)" );
       ("--out", Arg.Set_string out, "FILE also write the report to FILE");
       ("--root", Arg.Set_string root, "DIR repo root (default: walk up to dune-project)");
-      ("--no-typed", Arg.Clear typed, " skip .cmt-based typed and interprocedural rules");
       ( "--allow-file",
         Arg.Set_string allow_file,
         "FILE allowlist path relative to the root (default lint.allow; 'none' disables)" );
-      ( "--cache",
-        Arg.Set use_cache,
-        " persist per-module analysis in _build/mcx-lint-cache.json keyed by .cmt digests" );
       ( "--check-allows",
         Arg.Set check_allows,
         " exit nonzero when an allow span or lint.allow entry suppresses nothing" );
@@ -89,9 +83,7 @@ let () =
     {
       (Mcx_lint.Driver.default_config ~root) with
       only = !only;
-      with_typed = !typed;
       allow_file = (if !allow_file = "none" then None else Some !allow_file);
-      cache_file = (if !use_cache then Some Mcx_lint.Driver.default_cache_file else None);
     }
   in
   match Mcx_lint.Driver.run config with

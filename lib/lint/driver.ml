@@ -1,31 +1,20 @@
 (* Orchestration: walk the scanned trees, parse every .ml/.mli (source
-   rules + suppression spans), pair compiled modules with their .cmt
-   (typed rules + call-graph extraction, through the incremental cache),
-   run the interprocedural effect rules over the whole-program graph,
-   then filter findings through the attribute spans, the [lint.allow]
-   file and [--only]. *)
+   rules + suppression spans), read every compiled module's .cmt once
+   (typed rules + call-graph extraction), run the interprocedural effect
+   rules over the whole-program graph, then filter findings through the
+   attribute spans, the [lint.allow] file and [--only]. *)
 
 type config = {
   root : string;  (** absolute repo root *)
   paths : string list;  (** repo-relative files/dirs to scan *)
   only : string list;  (** restrict to these rule ids; [] = all *)
   allow_file : string option;  (** repo-relative allowlist, e.g. [Some "lint.allow"] *)
-  with_typed : bool;  (** read .cmt files and run typed + interproc rules *)
-  cache_file : string option;  (** repo-relative incremental-cache path *)
 }
 
 let default_paths = [ "lib"; "bin"; "bench"; "test" ]
-let default_cache_file = "_build/mcx-lint-cache.json"
 
 let default_config ~root =
-  {
-    root;
-    paths = default_paths;
-    only = [];
-    allow_file = Some "lint.allow";
-    with_typed = true;
-    cache_file = None;
-  }
+  { root; paths = default_paths; only = []; allow_file = Some "lint.allow" }
 
 let find_root () =
   let rec up dir =
@@ -127,18 +116,10 @@ let normalize_rel p =
     String.sub p 2 (String.length p - 2)
   else p
 
-(* Cache keys are root-relative so a cache written by `mcx-lint` from the
-   repo root is valid regardless of the process cwd. *)
-let cache_key root path =
-  let prefix = root ^ "/" in
-  if Rules.starts_with ~prefix path then
-    String.sub path (String.length prefix) (String.length path - String.length prefix)
-  else path
-
-(* --- per-module analysis (through the cache) -------------------------- *)
+(* --- per-module analysis ---------------------------------------------- *)
 
 (* Analyze one .cmt: the call-graph summary plus the module's typed
-   findings (cached together so a warm run never calls read_cmt). *)
+   findings. Interface-only and unreadable .cmt files yield [None]. *)
 let analyze_cmt cmt_path =
   match Cmt_format.read_cmt cmt_path with
   | exception _ -> None
@@ -146,91 +127,43 @@ let analyze_cmt cmt_path =
     match (cmt.cmt_sourcefile, cmt.cmt_annots) with
     | Some src, Implementation str ->
       let rel = normalize_rel src in
-      let nodes = Callgraph.of_cmt ~file:rel ~modname:cmt.cmt_modname str in
-      let typed_findings = Typed_lint.run ~file:rel ~modname:cmt.cmt_modname str in
-      Some
+      let summary =
         {
           Callgraph.modname = Callgraph.canonical cmt.cmt_modname;
           src = rel;
-          nodes;
-          typed_findings;
+          nodes = Callgraph.of_cmt ~file:rel ~modname:cmt.cmt_modname str;
         }
+      in
+      Some (summary, Typed_lint.run ~file:rel ~modname:cmt.cmt_modname str)
     | _ -> None)
 
 type cmt_pass = {
   summaries : Callgraph.summary list;
   cp_typed : Finding.t list;  (** deduped, scanned sources only *)
   cp_files_typed : int;
-  cp_analyzed : int;  (** cmts actually read (cache misses) *)
-  cp_hits : int;
+  cp_analyzed : int;  (** cmts read *)
 }
 
-let empty_summary = { Callgraph.modname = ""; src = ""; nodes = []; typed_findings = [] }
-
 let cmt_pass config ~source_set =
-  let disk =
-    match config.cache_file with
-    | None -> Cache.empty ()
-    | Some rel -> Cache.load (Filename.concat config.root rel)
-  in
-  (* Rebuilt from scratch each run so entries for deleted modules are
-     pruned on save. *)
-  let fresh = Cache.empty () in
-  let analyzed = ref 0 and hits = ref 0 in
-  let summaries = ref [] in
-  List.iter
-    (fun cmt_path ->
-      match Digest.file cmt_path with
-      | exception _ -> ()
-      | d ->
-        let digest = Digest.to_hex d in
-        let key = cache_key config.root cmt_path in
-        let entry =
-          match Cache.memo_find ~path:key ~digest with
-          | Some e ->
-            incr hits;
-            e
-          | None -> (
-            match Cache.find disk ~path:key ~digest with
-            | Some e ->
-              incr hits;
-              Cache.memo_add ~path:key e;
-              e
-            | None ->
-              incr analyzed;
-              let summary =
-                match analyze_cmt cmt_path with
-                | Some s -> s
-                | None -> empty_summary (* interface-only / unreadable: cache the miss *)
-              in
-              let e = { Cache.digest; summary; findings = summary.typed_findings } in
-              Cache.memo_add ~path:key e;
-              e)
-        in
-        Cache.add fresh ~path:key entry;
-        if entry.summary.modname <> "" then summaries := entry.summary :: !summaries)
-    (cmt_paths config.root);
-  (match config.cache_file with
-  | None -> ()
-  | Some rel -> Cache.save (Filename.concat config.root rel) fresh);
+  let cmts = cmt_paths config.root in
+  let analyzed = List.filter_map analyze_cmt cmts in
   (* Each scanned source contributes typed findings through at most one
      cmt (a source can be compiled into several build targets). *)
   let done_set = Hashtbl.create 64 in
   let typed = ref [] and files_typed = ref 0 in
   List.iter
-    (fun (s : Callgraph.summary) ->
+    (fun ((s : Callgraph.summary), findings) ->
       if Hashtbl.mem source_set s.src && not (Hashtbl.mem done_set s.src) then begin
         Hashtbl.add done_set s.src ();
         incr files_typed;
-        typed := s.typed_findings @ !typed
+        typed := findings @ !typed
       end)
-    (List.rev !summaries);
+    analyzed;
   {
-    summaries = List.rev !summaries;
+    summaries = List.map fst analyzed;
     cp_typed = List.rev !typed;
     cp_files_typed = !files_typed;
-    cp_analyzed = !analyzed;
-    cp_hits = !hits;
+    cp_analyzed = List.length cmts;
   }
 
 (* --- top level ------------------------------------------------------- *)
@@ -247,8 +180,7 @@ type result = {
   files_typed : int;  (** sources that had a matching .cmt *)
   graph_modules : int;  (** compilation units in the whole-program graph *)
   graph_nodes : int;
-  modules_analyzed : int;  (** cmts read this run (cache misses) *)
-  cache_hits : int;
+  modules_analyzed : int;  (** cmts read this run *)
   stale_allows : stale_allow list;
       (** allow spans/entries that suppressed nothing and served as no
           barrier this run *)
@@ -276,11 +208,7 @@ let run config =
       | exception Lexer.Error (_, loc) ->
         source_findings := parse_error_finding rel loc :: !source_findings)
     sources;
-  let pass =
-    if config.with_typed then cmt_pass config ~source_set
-    else
-      { summaries = []; cp_typed = []; cp_files_typed = 0; cp_analyzed = 0; cp_hits = 0 }
-  in
+  let pass = cmt_pass config ~source_set in
   let graph = Callgraph.build pass.summaries in
   (* Barrier / allow oracle for the interprocedural rules. Consulting a
      span marks it used, so an annotation whose only job is to stop
@@ -293,9 +221,7 @@ let run config =
     | None -> false
   in
   let interproc =
-    if config.with_typed then
-      List.filter (fun (f : Finding.t) -> Hashtbl.mem source_set f.file) (Effects.run graph ~allowed)
-    else []
+    List.filter (fun (f : Finding.t) -> Hashtbl.mem source_set f.file) (Effects.run graph ~allowed)
   in
   let allow_entries =
     match config.allow_file with
@@ -358,7 +284,6 @@ let run config =
     graph_modules = Callgraph.module_count graph;
     graph_nodes = Callgraph.node_count graph;
     modules_analyzed = pass.cp_analyzed;
-    cache_hits = pass.cp_hits;
     stale_allows;
   }
 
@@ -377,8 +302,8 @@ let report_text result =
        (if List.length result.findings = 1 then "" else "s")
        result.files_scanned result.files_typed);
   Buffer.add_string buf
-    (Printf.sprintf "call graph: %d modules, %d nodes; analyzed %d cmts (%d cache hits)\n"
-       result.graph_modules result.graph_nodes result.modules_analyzed result.cache_hits);
+    (Printf.sprintf "call graph: %d modules, %d nodes; analyzed %d cmts\n"
+       result.graph_modules result.graph_nodes result.modules_analyzed);
   Buffer.contents buf
 
 let stale_allow_to_json (s : stale_allow) =
@@ -399,7 +324,6 @@ let report_json result =
          ("graph_modules", Mcx_util.Json_out.Int result.graph_modules);
          ("graph_nodes", Mcx_util.Json_out.Int result.graph_nodes);
          ("modules_analyzed", Mcx_util.Json_out.Int result.modules_analyzed);
-         ("cache_hits", Mcx_util.Json_out.Int result.cache_hits);
          ("count", Mcx_util.Json_out.Int (List.length result.findings));
          ("findings", Mcx_util.Json_out.List (List.map Finding.to_json result.findings));
          ( "stale_allows",

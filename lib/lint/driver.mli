@@ -6,17 +6,10 @@ type config = {
   paths : string list;  (** repo-relative files/dirs to scan *)
   only : string list;  (** restrict to these rule ids; [] = all *)
   allow_file : string option;  (** repo-relative allowlist, e.g. [Some "lint.allow"] *)
-  with_typed : bool;  (** read .cmt files and run typed + interproc rules *)
-  cache_file : string option;
-      (** repo-relative incremental-cache path ([--cache] sets
-          {!default_cache_file}); [None] = in-memory memo only *)
 }
 
 val default_paths : string list
 (** [lib bin bench test] *)
-
-val default_cache_file : string
-(** [_build/mcx-lint-cache.json] *)
 
 val default_config : root:string -> config
 
@@ -35,8 +28,7 @@ type result = {
   files_typed : int;  (** sources that had a matching .cmt *)
   graph_modules : int;  (** compilation units in the whole-program call graph *)
   graph_nodes : int;
-  modules_analyzed : int;  (** cmts read this run (cache misses) *)
-  cache_hits : int;
+  modules_analyzed : int;  (** cmts read this run *)
   stale_allows : stale_allow list;
       (** allow spans/entries that suppressed nothing and served as no
           propagation barrier this run ([--check-allows]) *)

@@ -3,7 +3,7 @@
 
 type kind = Nondet | Io_out | Mut | Raises
 
-let starts_with = Callgraph.starts_with
+let starts_with = Rules.starts_with
 
 (* Entry points for transitive-nondet: the layers whose output the repo
    guarantees bit-identical (experiment tables, served batches, replayed
@@ -81,11 +81,6 @@ let transitive g ?(barrier = fun _ -> false) kind =
     (not (barrier c)) && ((not (kind = Raises)) || not e.raise_protected)
   in
   fixpoint g ~direct ~follow
-
-let nondet_roots g =
-  let acc = ref [] in
-  Callgraph.iter_nodes g (fun n -> if is_root n then acc := n.id :: !acc);
-  List.rev !acc
 
 (* --- shortest source→sink chains (BFS over the masked graph) ---------- *)
 

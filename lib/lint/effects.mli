@@ -31,11 +31,6 @@ val transitive :
     (default: no barriers)? [false] for unknown ids. Exposed for tests;
     {!run} applies the per-rule barrier sets. *)
 
-val nondet_roots : Callgraph.graph -> string list
-(** The entry points [transitive-nondet] checks: every function in the
-    experiment-driver and serving layers plus any node carrying
-    [[\@\@mcx.lint.entrypoint]] (how fixtures nominate fake drivers). *)
-
 val run :
   Callgraph.graph ->
   allowed:(rule:string -> file:string -> line:int -> col:int -> bool) ->

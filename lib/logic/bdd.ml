@@ -132,7 +132,6 @@ let ite m f g h =
   check_same m h;
   { manager = m; root = ite_node m f.root g.root h.root }
 
-let and_list m = List.fold_left (and_ m) (bdd_true m)
 let or_list m = List.fold_left (or_ m) (bdd_false m)
 
 let equal a b = a.manager == b.manager && a.root = b.root

@@ -17,8 +17,6 @@ type t = { arity : int; care : int array; pol : int array }
 
 let arity t = t.arity
 let words t = Array.length t.care
-let care_word t w = t.care.(w)
-let pol_word t w = t.pol.(w)
 
 let universe n =
   if n < 0 then invalid_arg "Cube.universe: negative arity";

@@ -17,11 +17,6 @@ val arity : t -> int
 val words : t -> int
 (** Number of words per mask. *)
 
-val care_word : t -> int -> int
-(** Raw care word [w] — exposed for benchmarks and hashing tests. *)
-
-val pol_word : t -> int -> int
-
 val universe : int -> t
 (** No literals. @raise Invalid_argument on negative arity. *)
 

@@ -54,9 +54,6 @@ val complement : t -> t
 val minimize : t -> t
 (** Espresso each output independently, then re-share rows. *)
 
-val map_cubes : t -> f:(Cube.t -> Cube.t) -> t
-(** Rebuild with transformed cubes (rows re-merged). *)
-
 val permute_vars : t -> perm:int array -> t
 (** Relabel input variables: variable [v] of the argument becomes
     variable [perm.(v)] of the result (row order and output masks are

@@ -12,34 +12,38 @@ type t = {
   digest : string;
 }
 
+let ( let* ) = Result.bind
+
 let load_cover = function
   | `Pla text -> (
     match Mcx_logic.Pla.parse_string text with
-    | parsed -> parsed.Mcx_logic.Pla.cover
+    | parsed -> Ok parsed.Mcx_logic.Pla.cover
     | exception Mcx_logic.Pla.Parse_error (line, msg) ->
-      failwith (Printf.sprintf "bad PLA (line %d): %s" line msg))
+      Error (Printf.sprintf "field \"pla\": bad PLA (line %d): %s" line msg))
   | `Benchmark name -> (
     match Mcx_benchmarks.Suite.find name with
-    | bench -> Mcx_benchmarks.Suite.cover bench
-    | exception Not_found -> failwith (Printf.sprintf "unknown benchmark %S" name))
+    | bench -> Ok (Mcx_benchmarks.Suite.cover bench)
+    | exception Not_found ->
+      Error (Printf.sprintf "field \"benchmark\": unknown benchmark %S" name))
 
 let materialize_defects (request : Wire.request) geometry =
   let rows = Geometry.rows geometry and cols = Geometry.cols geometry in
   match request.Wire.defects with
-  | Wire.Pristine -> Defect_map.create ~rows ~cols
+  | Wire.Pristine -> Ok (Defect_map.create ~rows ~cols)
   | Wire.Seeded { seed; open_rate; closed_rate } ->
-    Defect_map.random (Mcx_util.Prng.create seed) ~rows ~cols ~open_rate ~closed_rate
-  | Wire.Explicit { rows = r; cols = c; stuck_open; stuck_closed } ->
-    if r <> rows || c <> cols then
-      invalid_arg
-        (Printf.sprintf "defect map is %dx%d but the cover's optimum crossbar is %dx%d" r c
-           rows cols);
+    Ok (Defect_map.random (Mcx_util.Prng.create seed) ~rows ~cols ~open_rate ~closed_rate)
+  | Wire.Explicit { rows = r; cols = c; _ } when r <> rows || c <> cols ->
+    Error
+      (Printf.sprintf
+         "field \"defects\": defect map is %dx%d but the cover's optimum crossbar is %dx%d" r
+         c rows cols)
+  | Wire.Explicit { stuck_open; stuck_closed; _ } ->
     let map = Defect_map.create ~rows ~cols in
     List.iter (fun (i, j) -> Defect_map.set map i j Mcx_crossbar.Junction.Stuck_open) stuck_open;
     List.iter
       (fun (i, j) -> Defect_map.set map i j Mcx_crossbar.Junction.Stuck_closed)
       stuck_closed;
-    map
+    Ok map
 
 (* Permute the defect map's input columns by the cover's variable
    relabeling. Output result-pair columns and all rows stay put: the
@@ -66,9 +70,9 @@ let permute_defect_columns geometry ~var_perm defects =
     permuted
   end
 
-let resolve (request : Wire.request) =
+let canonicalize (request : Wire.request) =
   Mcx_util.Telemetry.span "serve.canonicalize" @@ fun () ->
-  let original = load_cover request.Wire.source in
+  let* original = load_cover request.Wire.source in
   let config = request.Wire.config in
   let geometry =
     Geometry.create
@@ -78,7 +82,7 @@ let resolve (request : Wire.request) =
       ~n_products:(Mo_cover.product_count original)
       ()
   in
-  let defects_original = materialize_defects request geometry in
+  let* defects_original = materialize_defects request geometry in
   let cover, row_perm, var_perm = Mo_cover.canonical original in
   let defects = permute_defect_columns geometry ~var_perm defects_original in
   let digest =
@@ -93,7 +97,13 @@ let resolve (request : Wire.request) =
               Printf.sprintf "verify=%b" config.Wire.verify;
             ]))
   in
-  { request; cover; defects; geometry; row_perm; digest }
+  Ok { request; cover; defects; geometry; row_perm; digest }
+
+let of_request ~index request =
+  Result.map_error (Printf.sprintf "request %d: %s" index) (canonicalize request)
+
+let resolve request =
+  match canonicalize request with Ok t -> t | Error msg -> invalid_arg msg
 
 let translate_assignment t canonical_assignment =
   Array.init (Array.length canonical_assignment) (fun r ->

@@ -25,13 +25,17 @@ type t = {
           signature, verify flag) *)
 }
 
-val resolve : Wire.request -> t
+val of_request : index:int -> Wire.request -> (t, string) result
 (** Parse/locate the cover, materialize the defect map at the cover's
-    optimum geometry, canonicalize both, digest. Raises on any invalid
-    request ([Failure] for unknown benchmarks and malformed PLA text,
-    [Invalid_argument] for defect maps that do not fit the geometry) —
-    the dispatcher runs it under {!Mcx_util.Pool.map_isolated} and turns
-    the raise into a structured error response. *)
+    optimum geometry, canonicalize both, digest. An unknown benchmark,
+    malformed PLA text or an explicit defect map that does not fit the
+    geometry is an [Error] located like {!Wire.request_of_line}'s:
+    ["request N: field \"benchmark\"|\"pla\"|\"defects\": ..."], with
+    [index] the request's position in its stream. *)
+
+val resolve : Wire.request -> t
+(** {!of_request} for a request known to be valid.
+    @raise Invalid_argument with the (unlocated) error message otherwise. *)
 
 val translate_assignment : t -> int array -> int array
 (** Rewrite a canonical-space FM row assignment into the request's own

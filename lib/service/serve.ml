@@ -178,14 +178,22 @@ let serve_batch t ~label lines =
           | Error msg -> (Error msg, 0L)
           | Ok request ->
             let t0 = Timing.monotonic_ns () in
-            let canonical = Canonical.resolve request in
-            (Ok canonical, Int64.sub (Timing.monotonic_ns ()) t0))
+            let canonical = Canonical.of_request ~index:i request in
+            (canonical, Int64.sub (Timing.monotonic_ns ()) t0))
     in
     Array.init n (fun i ->
+        (* A rejected line still answers under its own "id" when it has
+           one, so the client can match the error to its request. *)
         let id_of_line () =
           match parsed.(i) with
           | Ok request -> request.Wire.id
-          | Error _ -> Printf.sprintf "#%d" i
+          | Error _ ->
+            let own_id =
+              match Json.of_string lines.(i) with
+              | Ok json -> Option.bind (Json.member "id" json) Json.to_string_opt
+              | Error _ -> None
+            in
+            Option.value own_id ~default:(Printf.sprintf "#%d" i)
         in
         match resolved.(i) with
         | Pool.Done (Ok canonical, ns) ->

@@ -4,10 +4,11 @@
     {!Mcx_util.Lru} cache of mapping results. Each batch of JSONL
     request lines is processed in three deterministic stages:
 
-    + {b resolve} — every request is parsed and canonicalized
-      ({!Canonical.resolve}) under [Pool.map_isolated], so one malformed
-      request degrades to an error response instead of tearing the batch
-      down;
+    + {b resolve} — every request is parsed ({!Wire.request_of_line})
+      and canonicalized ({!Canonical.of_request}) under
+      [Pool.map_isolated]; a rejected request degrades to an error
+      response with a located message (answered under the line's own
+      ["id"] when it carries one) instead of tearing the batch down;
     + {b coalesce} — requests are looked up in the cache in request
       order; distinct requests with equal canonical digests collapse
       onto one computation;

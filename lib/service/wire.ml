@@ -41,19 +41,25 @@ let field_opt name conv json =
     | Some x -> Ok (Some x)
     | None -> Error (Printf.sprintf "field %S has the wrong type" name))
 
-(* An object whose every key is one of [known]: a misspelled key is an
-   error, never a silently ignored field. [within] names the enclosing
-   field ("defects"); [""] is the request itself. *)
+(* An object whose every key is one of [known], each at most once: a
+   misspelled key is an error, never a silently ignored field, and a
+   repeated key is an error, never a silent first-binding-wins. [within]
+   names the enclosing field ("defects"); [""] is the request itself. *)
 let known_keys ?(within = "") known json =
   let qualified k = if within = "" then k else within ^ "." ^ k in
   match json with
-  | Json.Obj fields -> (
-    match List.find_opt (fun (k, _) -> not (List.mem k known)) fields with
-    | None -> Ok ()
-    | Some (k, _) ->
-      Error
-        (Printf.sprintf "field %S is unknown (known: %s)" (qualified k)
-           (String.concat ", " known)))
+  | Json.Obj fields ->
+    let rec check seen = function
+      | [] -> Ok ()
+      | (k, _) :: _ when not (List.mem k known) ->
+        Error
+          (Printf.sprintf "field %S is unknown (known: %s)" (qualified k)
+             (String.concat ", " known))
+      | (k, _) :: _ when List.mem k seen ->
+        Error (Printf.sprintf "field %S appears twice" (qualified k))
+      | (k, _) :: rest -> check (k :: seen) rest
+    in
+    check [] fields
   | _ -> Error (Printf.sprintf "field %S must be an object" within)
 
 let coordinate_list ~rows ~cols name json =
@@ -111,7 +117,14 @@ let parse_defects json =
       | Some rows, Some cols ->
         let* stuck_open = coordinate_list ~rows ~cols "open" d in
         let* stuck_closed = coordinate_list ~rows ~cols "closed" d in
-        Ok (Explicit { rows; cols; stuck_open; stuck_closed })
+        (* A junction cannot be stuck both ways. *)
+        let opened = Hashtbl.create (List.length stuck_open) in
+        List.iter (fun rc -> Hashtbl.replace opened rc ()) stuck_open;
+        (match List.find_opt (Hashtbl.mem opened) stuck_closed with
+        | Some (r, c) ->
+          Error
+            (Printf.sprintf "field \"closed\" holds (%d,%d), which \"open\" also lists" r c)
+        | None -> Ok (Explicit { rows; cols; stuck_open; stuck_closed }))
       | _ -> Error "defects must carry either seed/open_rate or rows/cols/open/closed"))
 
 let parse_config json =

@@ -75,8 +75,9 @@ val request_of_line : index:int -> string -> (request, string) result
     (["request N: field ..."]). Rejected here, not deeper in resolve:
     unknown keys at the top level and in [defects] and [config], a
     negative [deadline_ms], [open_rate]/[closed_rate] outside [[0, 1]]
-    (or summing above 1), and explicit [open]/[closed] coordinates
-    outside the request's own [rows]x[cols]. *)
+    (or summing above 1), explicit [open]/[closed] coordinates
+    outside the request's own [rows]x[cols], a junction listed in both
+    [open] and [closed], and a key repeated within one object. *)
 
 val request_to_json : request -> Mcx_util.Json_out.t
 (** Re-emit a request (used to generate bundled request files and by the

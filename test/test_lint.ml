@@ -16,17 +16,24 @@ let root =
 
 let fixture_dir = "test/lint_fixtures/"
 
-(* Lint a single fixture file with the path allowlist disabled (the repo
-   lint.allow suppresses the whole fixture tree). *)
+(* One lint run over the whole fixture tree with the path allowlist
+   disabled (the repo lint.allow suppresses the whole fixture tree); each
+   fixture test reads its own file's findings from it. Every run reads
+   every .cmt, so sharing the run keeps the suite fast. *)
+let fixture_findings =
+  lazy
+    (Lint.Driver.run
+       {
+         (Lint.Driver.default_config ~root) with
+         paths = [ "test/lint_fixtures" ];
+         allow_file = None;
+       })
+      .findings
+
 let lint_fixture file =
-  let config =
-    {
-      (Lint.Driver.default_config ~root) with
-      paths = [ fixture_dir ^ file ];
-      allow_file = None;
-    }
-  in
-  (Lint.Driver.run config).findings
+  List.filter
+    (fun (f : Lint.Finding.t) -> f.file = fixture_dir ^ file)
+    (Lazy.force fixture_findings)
 
 let line_rules findings =
   List.map (fun (f : Lint.Finding.t) -> (f.line, f.rule)) findings
@@ -286,7 +293,7 @@ let nondet_src : Lint.Callgraph.source =
   }
 
 let mk_summary nodes : Lint.Callgraph.summary =
-  { modname = "M"; src = "lib/x.ml"; nodes; typed_findings = [] }
+  { modname = "M"; src = "lib/x.ml"; nodes }
 
 (* a <-> b (one SCC) -> c (the Nondet source) *)
 let cyclic_graph () =
@@ -322,67 +329,6 @@ let test_effect_fixpoint () =
   Alcotest.(check bool) "barrier does not mask the source itself" true
     (transitive ~barrier "M.c");
   Alcotest.(check bool) "unknown id" false (transitive "M.zzz")
-
-(* --- incremental cache ------------------------------------------------ *)
-
-let test_cache_roundtrip () =
-  let path = Filename.temp_file "mcx-lint-cache" ".json" in
-  let t = Lint.Cache.empty () in
-  let summary =
-    {
-      Lint.Callgraph.modname = "M";
-      src = "lib/x.ml";
-      nodes = [ mk_node "M.a" ~mut:true ~edges:[ mk_edge "M.b" ]; mk_node "M.b" ~sources:[ nondet_src ] ];
-      typed_findings = [ Lint.Finding.make ~file:"lib/x.ml" ~line:2 ~col:0 ~rule:"hygiene-obj-magic" ~message:"m" ];
-    }
-  in
-  Lint.Cache.add t ~path:"lib/.objs/x.cmt"
-    { Lint.Cache.digest = "abc"; summary; findings = summary.typed_findings };
-  Lint.Cache.save path t;
-  let t2 = Lint.Cache.load path in
-  (match Lint.Cache.find t2 ~path:"lib/.objs/x.cmt" ~digest:"abc" with
-  | None -> Alcotest.fail "expected a cache hit"
-  | Some e ->
-    Alcotest.(check string) "modname" "M" e.summary.modname;
-    Alcotest.(check int) "nodes" 2 (List.length e.summary.nodes);
-    Alcotest.(check bool) "mut round-trips" true
-      (List.exists (fun (n : Lint.Callgraph.node) -> n.id = "M.a" && n.mutable_state)
-         e.summary.nodes);
-    Alcotest.(check int) "findings" 1 (List.length e.findings));
-  Alcotest.(check bool) "digest change invalidates" true
-    (Lint.Cache.find t2 ~path:"lib/.objs/x.cmt" ~digest:"other" = None);
-  Sys.remove path
-
-let test_cache_corrupt_load () =
-  let path = Filename.temp_file "mcx-lint-cache" ".json" in
-  let oc = open_out path in
-  output_string oc "{not json";
-  close_out oc;
-  let t = Lint.Cache.load path in
-  Alcotest.(check bool) "corrupt file loads as empty" true
-    (Lint.Cache.find t ~path:"x" ~digest:"d" = None);
-  Sys.remove path
-
-let test_driver_cache_warm () =
-  let cache_rel = "_build/mcx-lint-test-cache.json" in
-  let config =
-    {
-      (Lint.Driver.default_config ~root) with
-      paths = [ fixture_dir ^ "ip_nondet.ml" ];
-      allow_file = None;
-      cache_file = Some cache_rel;
-    }
-  in
-  let r1 = Lint.Driver.run config in
-  let r2 = Lint.Driver.run config in
-  Alcotest.(check bool) "cache file written" true
-    (Sys.file_exists (Filename.concat root cache_rel));
-  Alcotest.(check int) "warm run re-analyzes nothing" 0 r2.modules_analyzed;
-  Alcotest.(check bool) "warm run hits the cache" true (r2.cache_hits > 0);
-  Alcotest.(check (list string)) "warm findings byte-identical"
-    (List.map Lint.Finding.to_string r1.findings)
-    (List.map Lint.Finding.to_string r2.findings);
-  Sys.remove (Filename.concat root cache_rel)
 
 (* --- stale-allow tracking (--check-allows) ---------------------------- *)
 
@@ -524,12 +470,6 @@ let () =
           Alcotest.test_case "canonical names" `Quick test_canonical_names;
           Alcotest.test_case "sccs reverse-topological" `Quick test_sccs_reverse_topological;
           Alcotest.test_case "effect fixpoint" `Quick test_effect_fixpoint;
-        ] );
-      ( "cache",
-        [
-          Alcotest.test_case "round-trip" `Quick test_cache_roundtrip;
-          Alcotest.test_case "corrupt load" `Quick test_cache_corrupt_load;
-          Alcotest.test_case "driver warm run" `Quick test_driver_cache_warm;
         ] );
       ( "allows",
         [

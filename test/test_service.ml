@@ -122,7 +122,38 @@ let test_wire_rejects () =
     {|field "defects.sed" is unknown|};
   expect_parse_error
     {|{"schema":"mcx-request/1","pla":"x","config":{"algoritm":"exact"}}|}
-    {|field "config.algoritm" is unknown|}
+    {|field "config.algoritm" is unknown|};
+  (* a rejected line that names itself is answered under its own id;
+     only a line without one falls back to "#N" *)
+  let _, responses, _ =
+    serve_lines
+      [
+        {|{"schema":"mcx-request/1","id":"b","pla":"x","config":5}|};
+        {|{"schema":"mcx-request/1","pla":"x","config":5}|};
+        "not json at all";
+      ]
+  in
+  let id_of l =
+    match Json_out.of_string l with
+    | Ok json -> Option.bind (Json_out.member "id" json) Json_out.to_string_opt
+    | Error _ -> None
+  in
+  Alcotest.(check (list (option string)))
+    "rejected requests keep their ids"
+    [ Some "b"; Some "#1"; Some "#2" ]
+    (List.map id_of responses)
+
+let test_wire_rejects_open_and_closed () =
+  expect_parse_error
+    {|{"schema":"mcx-request/1","pla":"x","defects":{"rows":2,"cols":6,"open":[[0,0],[1,2]],"closed":[[1,2]]}}|}
+    {|field "closed" holds (1,2), which "open" also lists|}
+
+let test_wire_rejects_duplicate_keys () =
+  expect_parse_error {|{"schema":"mcx-request/1","id":"a","id":"b","pla":"x"}|}
+    {|field "id" appears twice|};
+  expect_parse_error
+    {|{"schema":"mcx-request/1","pla":"x","config":{"verify":true,"verify":false}}|}
+    {|field "config.verify" appears twice|}
 
 let test_response_field_order () =
   let r =
@@ -182,24 +213,27 @@ let test_digest_separates_problems () =
     (digest_of (request ~config:deadlined (`Pla pla_base)))
 
 let test_resolve_raises () =
-  Alcotest.(check bool) "bad PLA raises Failure" true
-    (match Canonical.resolve (request (`Pla ".i oops")) with
-    | exception Failure _ -> true
-    | _ -> false);
-  Alcotest.(check bool) "unknown benchmark raises Failure" true
-    (match Canonical.resolve (request (`Benchmark "no-such-cover")) with
-    | exception Failure _ -> true
-    | _ -> false);
-  Alcotest.(check bool) "wrong defect dims raise Invalid_argument" true
-    (match
-       Canonical.resolve
-         (request
-            ~defects:
-              (Wire.Explicit { rows = 1; cols = 1; stuck_open = []; stuck_closed = [] })
-            (`Pla pla_base))
-     with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
+  let wrong_dims =
+    Wire.Explicit { rows = 1; cols = 1; stuck_open = []; stuck_closed = [] }
+  in
+  let cases =
+    [
+      ( request (`Pla ".i oops"),
+        {|field "pla": bad PLA (line 1): bad .i argument "oops"|} );
+      ( request (`Benchmark "no-such-cover"),
+        {|field "benchmark": unknown benchmark "no-such-cover"|} );
+      ( request ~defects:wrong_dims (`Pla pla_base),
+        {|field "defects": defect map is 1x1 but the cover's optimum crossbar is 5x10|} );
+    ]
+  in
+  List.iter
+    (fun (req, msg) ->
+      (match Canonical.of_request ~index:4 req with
+      | Ok _ -> Alcotest.failf "expected a resolve error: %s" msg
+      | Error e -> Alcotest.(check string) "located error" ("request 4: " ^ msg) e);
+      Alcotest.check_raises "resolve raises" (Invalid_argument msg) (fun () ->
+          ignore (Canonical.resolve req)))
+    cases
 
 (* --- the dispatcher --------------------------------------------------- *)
 
@@ -586,6 +620,9 @@ let () =
             Alcotest.test_case "request round-trip" `Quick test_wire_round_trip;
             Alcotest.test_case "defaults" `Quick test_wire_defaults;
             Alcotest.test_case "malformed requests" `Quick test_wire_rejects;
+            Alcotest.test_case "open and closed junction" `Quick
+              test_wire_rejects_open_and_closed;
+            Alcotest.test_case "duplicate keys" `Quick test_wire_rejects_duplicate_keys;
             Alcotest.test_case "response field order" `Quick test_response_field_order;
           ] );
         ( "canonical",
